@@ -17,7 +17,7 @@ import (
 
 // result is one benchmark's figures as written to the JSON report. Extra
 // carries the benchmark's ReportMetric values (rollbacks/op, antis/op,
-// lazy_saved/op for the Time Warp workload).
+// lazy_saved/op for the Time Warp workload; heap_high_water for RTO re-arm).
 type result struct {
 	N           int                `json:"n"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -71,6 +71,7 @@ func main() {
 	add("event_churn_unpooled", false, func(b *testing.B) { bench.EventChurn(b, false) })
 	add("cancel_rearm_pooled", true, func(b *testing.B) { bench.CancelRearm(b, true) })
 	add("cancel_rearm_unpooled", false, func(b *testing.B) { bench.CancelRearm(b, false) })
+	add("rto_rearm_pooled", true, func(b *testing.B) { bench.RTORearm(b, true) })
 	add("timewarp_leafspine_lazy", false, func(b *testing.B) { bench.TimewarpLeafSpine(b, true, cfg) })
 	add("timewarp_leafspine_eager", false, func(b *testing.B) { bench.TimewarpLeafSpine(b, false, cfg) })
 

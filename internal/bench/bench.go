@@ -61,6 +61,43 @@ func CancelRearm(b *testing.B, pooled bool) {
 	}
 }
 
+// RTORearm measures the retransmission-timer idiom at TCP scale: 64
+// connections each hold a timer one virtual second out, and every iteration
+// is a one-nanosecond tick that cancels one connection's timer and re-arms
+// it. The timers never come due, so only compaction removes the dead ones;
+// the pool must absorb the compacted objects for this to stay at zero
+// allocations per operation. heap_high_water reports the deepest the heap
+// got, which compaction holds near twice the live population.
+func RTORearm(b *testing.B, pooled bool) {
+	const conns = 64
+	k := des.NewKernel()
+	k.SetPooling(pooled)
+	noop := func() {}
+	timers := make([]*des.Event, conns)
+	for i := range timers {
+		timers[i] = k.Schedule(des.Second, noop)
+	}
+	next := 0
+	var tick func()
+	tick = func() {
+		k.Cancel(timers[next])
+		timers[next] = k.Schedule(des.Second, noop)
+		next = (next + 1) % conns
+		k.Schedule(1, tick)
+	}
+	k.Schedule(1, tick)
+	for i := 0; i < 4*conns; i++ { // run through a few compactions to fill the free list
+		k.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(k.Stats().HeapHighWater), "heap_high_water")
+}
+
 // LeafSpineConfig sizes the Time Warp leaf-spine benchmark workload.
 type LeafSpineConfig struct {
 	ToRs int

@@ -8,10 +8,12 @@
 // are fundamentally claims about event counts).
 //
 // Events are closures. Components schedule work with Schedule/At and may
-// cancel a pending event through its handle; cancellation is lazy (the event
-// is marked dead and skipped on pop), which keeps the heap simple and is
-// cheap for the dominant cancel pattern — TCP retransmission timers that are
-// re-armed on every ACK.
+// cancel a pending event through its handle. Cancellation marks the event
+// dead, which is O(1) for the dominant cancel pattern — TCP retransmission
+// timers that are re-armed on every ACK. Dead events are skipped when they
+// reach the top of the heap, and Cancel compacts them out whenever they
+// outnumber the live ones, so a far-future dead timer does not ride the queue
+// until it expires and right after any Cancel at most half the heap is dead.
 package des
 
 import (
@@ -160,6 +162,14 @@ func (h *eventHeap) pop() *Event {
 	return top
 }
 
+// heapify restores the heap property over arbitrary contents bottom-up
+// (Floyd's method), in O(n).
+func (h eventHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+}
+
 func (h eventHeap) siftDown(i int) {
 	n := len(h)
 	for {
@@ -203,6 +213,7 @@ type Kernel struct {
 	ncanc  uint64 // events canceled
 	heapHW int64  // heap depth high-water mark
 	npend  int64  // current heap depth, mirrored for concurrent readers
+	dead   int    // canceled events still in the heap
 	hook   Hook
 	run    bool
 	stop   bool
@@ -303,7 +314,10 @@ func (k *Kernel) ScheduleCtx(delay Time, ctx any, fn func()) *Event {
 
 // Cancel marks a pending event dead. Canceling an already-fired or
 // already-canceled event is a no-op; cancel-then-reschedule is the normal
-// timer idiom, so this must be forgiving.
+// timer idiom, so this must be forgiving. When dead entries come to outnumber
+// live ones, Cancel compacts the heap and recycles the canceled objects (see
+// pool.go), so a canceled handle may be reused by a later Schedule exactly
+// like a fired one: drop or overwrite it after Cancel.
 func (k *Kernel) Cancel(e *Event) {
 	// A recycled handle is also a no-op (e.pooled guards the pooldebug build,
 	// where pooled events carry a poisoned non-nil fn): per this contract,
@@ -318,36 +332,83 @@ func (k *Kernel) Cancel(e *Event) {
 	e.canceled = true
 	e.fn = nil
 	atomic.AddUint64(&k.ncanc, 1)
+	k.dead++
+	if 2*k.dead > len(k.heap) {
+		k.compact()
+	}
+}
+
+// compact drops every canceled event from the heap in place and recycles it,
+// then re-heapifies the survivors. It runs only when dead entries are the
+// majority, so it removes at least half the heap and costs amortized O(1) per
+// Cancel. Pop order is unchanged: the key (at, band, key, seq) is a total
+// order, and every valid heap over the same set of events pops identically.
+func (k *Kernel) compact() {
+	h := k.heap
+	n := 0
+	for _, e := range h {
+		if e.canceled {
+			checkNotPooled(e, "compact")
+			k.recycle(e)
+			continue
+		}
+		h[n] = e
+		n++
+	}
+	clear(h[n:]) // the vacated tail must not keep unrecycled (pinned or unpooled) events alive
+	k.heap = h[:n]
+	k.heap.heapify()
+	k.dead = 0
+	k.syncPending()
+}
+
+// top discards canceled events from the top of the heap and returns the
+// earliest live event without removing it, or nil when none is pending. Every
+// run loop goes through it, so the dead-entry accounting lives here alone.
+func (k *Kernel) top() *Event {
+	for len(k.heap) > 0 {
+		e := k.heap[0]
+		if !e.canceled {
+			return e
+		}
+		k.heap.pop()
+		k.syncPending()
+		checkNotPooled(e, "pop") // pooldebug: a pooled event in the heap is corruption
+		k.dead--
+		k.recycle(e)
+	}
+	return nil
 }
 
 // Step executes the single next live event. It returns false when the queue
 // is empty (or holds only canceled events).
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		e := k.heap.pop()
-		k.syncPending()
-		checkNotPooled(e, "pop") // pooldebug: a pooled event in the heap is corruption
-		if e.canceled {
-			k.recycle(e)
-			continue
-		}
-		k.setNow(e.at)
-		fn := e.fn
-		e.fn = nil
-		at, seq := e.at, e.seq
-		atomic.AddUint64(&k.nexec, 1)
-		// Recycle before running fn: anything fn schedules may reuse the
-		// object immediately, which is what makes the steady-state hot path
-		// allocation-free. fn was extracted first, and handles kept past this
-		// point are covered by the Gen() protocol (see pool.go).
-		k.recycle(e)
-		if k.hook != nil {
-			k.hook.OnEvent(at, seq)
-		}
-		fn()
-		return true
+	if k.top() == nil {
+		return false
 	}
-	return false
+	k.fire()
+	return true
+}
+
+// fire pops and executes the heap's top event, which top has found live.
+func (k *Kernel) fire() {
+	e := k.heap.pop()
+	k.syncPending()
+	checkNotPooled(e, "pop") // pooldebug: a pooled event in the heap is corruption
+	k.setNow(e.at)
+	fn := e.fn
+	e.fn = nil
+	at, seq := e.at, e.seq
+	atomic.AddUint64(&k.nexec, 1)
+	// Recycle before running fn: anything fn schedules may reuse the object
+	// immediately, which is what makes the steady-state hot path
+	// allocation-free. fn was extracted first, and handles kept past this
+	// point are covered by the Gen() protocol (see pool.go).
+	k.recycle(e)
+	if k.hook != nil {
+		k.hook.OnEvent(at, seq)
+	}
+	fn()
 }
 
 // Run executes events in timestamp order until the queue drains, until the
@@ -359,18 +420,10 @@ func (k *Kernel) Run(until Time) {
 	k.stop = false
 	defer func() { k.run = false }()
 	for !k.stop {
-		// Skip canceled events without executing them.
-		for len(k.heap) > 0 && k.heap[0].canceled {
-			k.recycle(k.heap.pop())
-			k.syncPending()
-		}
-		if len(k.heap) == 0 {
+		if e := k.top(); e == nil || e.at > until {
 			break
 		}
-		if k.heap[0].at > until {
-			break
-		}
-		k.Step()
+		k.fire()
 	}
 	// Advance idle time to the horizon so repeated Run calls observe
 	// monotonic progress — except for the drain-everything horizon used by
@@ -394,14 +447,10 @@ func (k *Kernel) RunBefore(until Time) {
 	k.stop = false
 	defer func() { k.run = false }()
 	for !k.stop {
-		for len(k.heap) > 0 && k.heap[0].canceled {
-			k.recycle(k.heap.pop())
-			k.syncPending()
-		}
-		if len(k.heap) == 0 || k.heap[0].at >= until {
+		if e := k.top(); e == nil || e.at >= until {
 			break
 		}
-		k.Step()
+		k.fire()
 	}
 	if k.now < until && !k.stop {
 		k.setNow(until)
@@ -415,22 +464,21 @@ func (k *Kernel) RunAll() { k.Run(MaxTime) }
 // It may be called from inside an event.
 func (k *Kernel) Stop() { k.stop = true }
 
-// Pending returns the number of events in the heap, including lazily
-// canceled ones still awaiting removal. Safe to call from any goroutine.
+// Pending returns the number of events in the heap, including canceled ones
+// still awaiting removal. Cancel compacts the heap whenever dead entries
+// become the majority, so right after a Cancel at most half of Pending is
+// dead. Safe to call from any goroutine.
 func (k *Kernel) Pending() int { return int(atomic.LoadInt64(&k.npend)) }
 
 // NextEventTime returns the time of the earliest live pending event and true,
 // or (0, false) if none is pending. The PDES engine uses this to compute
 // earliest-output-time guarantees.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	for len(k.heap) > 0 && k.heap[0].canceled {
-		k.recycle(k.heap.pop())
-		k.syncPending()
-	}
-	if len(k.heap) == 0 {
+	e := k.top()
+	if e == nil {
 		return 0, false
 	}
-	return k.heap[0].at, true
+	return e.at, true
 }
 
 // Stats reports scheduler work counters since kernel creation.

@@ -338,4 +338,5 @@ func BenchmarkTimerChurn(b *testing.B) {
 			k.Run(k.Now() + 10)
 		}
 	}
+	b.ReportMetric(float64(k.Stats().HeapHighWater), "heap_high_water")
 }

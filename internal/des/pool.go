@@ -15,13 +15,16 @@ import "sync/atomic"
 //
 // Ownership rules (see DESIGN.md "Event ownership under pooling"):
 //
-//   - The kernel owns every event on the heap. Once an event has fired or a
-//     canceled event has been popped, its object may be recycled and reused
-//     by a later Schedule/At call with a bumped generation counter.
-//   - A handle returned by Schedule is valid for Cancel until the event fires;
-//     the timer idiom (cancel-then-rearm, nil the handle when it fires) is
-//     safe because Cancel on a recycled event is a no-op in release builds
-//     (fn is nil while pooled) and a loud panic under -tags pooldebug.
+//   - The kernel owns every event on the heap. Once an event has fired, or a
+//     canceled event has been popped or compacted out of the heap (Cancel
+//     compacts when dead entries outnumber live ones), its object may be
+//     recycled and reused by a later Schedule/At call with a bumped
+//     generation counter.
+//   - A handle returned by Schedule is valid for Cancel until the event fires
+//     or is canceled; the timer idiom (cancel-then-rearm, nil the handle when
+//     it fires) is safe because Cancel on a recycled event is a no-op (fn is
+//     nil while pooled, and pooled objects are skipped explicitly under
+//     -tags pooldebug, where they carry a poisoned fn).
 //   - Holders that must detect reuse (the Time Warp processed log) record
 //     Gen() at schedule time and treat a mismatch as "the original fired".
 //   - Events captured by a Snapshot are pinned: Restore writes fields back
@@ -49,7 +52,7 @@ func (k *Kernel) alloc(t Time, ctx any, fn func()) *Event {
 }
 
 // recycle returns an event that has left the heap (fired, or canceled and
-// popped) to the free list. Snapshot-pinned events are never recycled: a
+// then popped or compacted out) to the free list. Snapshot-pinned events are never recycled: a
 // Restore must find them intact. The generation counter is bumped so stale
 // handles (Gen recorded at schedule time) observably mismatch, and under
 // -tags pooldebug the object is poisoned so any use blows up loudly.

@@ -16,4 +16,5 @@ func BenchmarkEventChurn(b *testing.B) {
 	b.Run("unpooled", func(b *testing.B) { bench.EventChurn(b, false) })
 	b.Run("cancel-rearm-pooled", func(b *testing.B) { bench.CancelRearm(b, true) })
 	b.Run("cancel-rearm-unpooled", func(b *testing.B) { bench.CancelRearm(b, false) })
+	b.Run("rto-rearm-pooled", func(b *testing.B) { bench.RTORearm(b, true) })
 }

@@ -84,3 +84,40 @@ func TestPoolDebugPopAssertsOnPooledEvent(t *testing.T) {
 	k.syncPending()
 	mustPanic(t, "pop on a recycled event", func() { k.Step() })
 }
+
+// Compaction recycles canceled events, so a handle kept past Cancel can point
+// at a poisoned object. Cancel through it must stay a no-op (the poisoned fn
+// is non-nil, so only the pooled check keeps it out), and Canceled must keep
+// answering true until the object is reused.
+func TestPoolDebugCompactedCancelIsNoOp(t *testing.T) {
+	k := NewKernel()
+	k.Schedule(100, func() {})
+	a := k.Schedule(10, func() {})
+	b := k.Schedule(20, func() {})
+	k.Cancel(a)
+	k.Cancel(b) // 2 dead of 3: compacts
+	for _, e := range []*Event{a, b} {
+		if !e.pooled || e.at != poisonTime {
+			t.Fatal("compacted event was not recycled and poisoned")
+		}
+		k.Cancel(e) // must not panic or count
+		if !e.Canceled() {
+			t.Fatal("compacted handle lost its Canceled answer")
+		}
+	}
+	if c := k.Stats().Canceled; c != 2 {
+		t.Fatalf("Cancel through compacted handles counted: %d cancels", c)
+	}
+	fired := false
+	e := k.Schedule(5, func() { fired = true })
+	if e != a && e != b {
+		t.Fatal("free list did not reuse a compacted object")
+	}
+	if e.Canceled() {
+		t.Fatal("reused object still reports Canceled")
+	}
+	k.RunAll()
+	if !fired {
+		t.Fatal("reincarnated event did not fire — stale Cancel leaked into the reuse")
+	}
+}

@@ -99,15 +99,20 @@ func (k *Kernel) Restore(st *KernelState, restoreCtx func(ctx, blob any)) {
 	// them, and dangling references in rolled-back bookkeeping must keep
 	// reading them as dead — so they fall to the garbage collector.
 	heap := make(eventHeap, 0, len(st.events))
+	dead := 0
 	for i := range st.events {
 		se := &st.events[i]
 		se.ev.at, se.ev.band, se.ev.key, se.ev.seq, se.ev.fn, se.ev.canceled = se.at, se.band, se.key, se.seq, se.fn, se.canceled
 		if se.ctx != nil && restoreCtx != nil {
 			restoreCtx(se.ctx, se.ctxBlob)
 		}
+		if se.canceled {
+			dead++
+		}
 		heap = append(heap, se.ev)
 	}
 	k.heap = heap
+	k.dead = dead
 	k.syncPending()
 	if d := int64(len(k.heap)); d > atomic.LoadInt64(&k.heapHW) {
 		atomic.StoreInt64(&k.heapHW, d)
@@ -123,14 +128,10 @@ func (k *Kernel) Restore(st *KernelState, restoreCtx func(ctx, blob any)) {
 func (k *Kernel) RunLimit(until Time, max int) int {
 	ran := 0
 	for ran < max {
-		for len(k.heap) > 0 && k.heap[0].canceled {
-			k.recycle(k.heap.pop())
-			k.syncPending()
-		}
-		if len(k.heap) == 0 || k.heap[0].at > until {
+		if e := k.top(); e == nil || e.at > until {
 			break
 		}
-		k.Step()
+		k.fire()
 		ran++
 	}
 	return ran

@@ -22,6 +22,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,6 +84,20 @@ func (f *Fault) recoverEnd() des.Time {
 	return f.Recover
 }
 
+// detectedEdgesFit reports whether the latest detected edges — failure and,
+// if any, recovery plus the full detection delay — are representable, so
+// viewedWindow and SampleTimes cannot wrap. Delays must be non-negative.
+func (f *Fault) detectedEdgesFit() bool {
+	if f.DetectJitter > des.MaxTime-f.Detect {
+		return false
+	}
+	last := f.At
+	if f.Recover > last {
+		last = f.Recover
+	}
+	return f.Detect+f.DetectJitter <= des.MaxTime-last
+}
+
 // Schedule is an immutable set of faults plus the seed salting per-viewer
 // detection jitter. The zero value (and nil) is the healthy schedule.
 type Schedule struct {
@@ -111,6 +126,9 @@ func (s *Schedule) Validate() error {
 				i, f.Recover, f.At)
 		case f.Detect < 0 || f.DetectJitter < 0:
 			return fmt.Errorf("faults: fault %d has negative detection delay", i)
+		case !f.detectedEdgesFit():
+			return fmt.Errorf("faults: fault %d's detection delay pushes its detected edges past the largest virtual time %v",
+				i, des.MaxTime)
 		}
 	}
 	return nil
@@ -359,6 +377,9 @@ func parseClause(clause string, resolve func(string) (packet.NodeID, error)) (Fa
 		if err != nil {
 			return f, fmt.Errorf("outage duration: %w", err)
 		}
+		if d > des.MaxTime-f.At {
+			return f, fmt.Errorf("outage ends past the largest virtual time %v", des.MaxTime)
+		}
 		f.Recover = f.At + d
 	}
 	for _, opt := range parts[1:] {
@@ -383,7 +404,8 @@ func parseClause(clause string, resolve func(string) (packet.NodeID, error)) (Fa
 }
 
 // ParseDuration parses a virtual-time duration like "500us", "1.5ms", "2s",
-// or a bare nanosecond count.
+// or a bare nanosecond count. Negative, non-finite, and unrepresentable
+// (past des.MaxTime nanoseconds) durations are errors.
 func ParseDuration(s string) (des.Time, error) {
 	s = strings.TrimSpace(s)
 	unit := des.Time(1)
@@ -400,8 +422,14 @@ func ParseDuration(s string) (des.Time, error) {
 		s, unit = s[:len(s)-1], des.Second
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
+	if err != nil || v < 0 || math.IsNaN(v) {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
-	return des.Time(v * float64(unit)), nil
+	// 2^63 is exactly representable as a float64 and is the first value past
+	// des.MaxTime; the comparison also rejects +Inf.
+	ns := v * float64(unit)
+	if ns >= 1<<63 {
+		return 0, fmt.Errorf("duration %q overflows virtual time (at most %v)", s, des.MaxTime)
+	}
+	return des.Time(ns), nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"approxsim/internal/des"
+	"approxsim/internal/metrics"
 	"approxsim/internal/obs"
 )
 
@@ -283,5 +284,35 @@ func TestPoolIneligibleFallsCold(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Builds != 0 {
 		t.Fatalf("timewarp run touched the pool: %+v", st)
+	}
+}
+
+// TestHeapHoldsLiveWork pins the kernel's dead-event compaction at the
+// scenario layer. Every TCP RTO re-arm cancels a timer whose timestamp lies a
+// full RTO ahead; with cancellation alone those dead timers ride the heap
+// until they expire, so a 16-rack run's heap high-water tracks its cancel
+// count. With compaction the heap holds only about the live work.
+func TestHeapHoldsLiveWork(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sp := Spec{
+		Mode:      "pdes",
+		Topology:  Topology{Racks: 16},
+		Workload:  Workload{Load: 0.3},
+		LPs:       1,
+		Seed:      1,
+		HorizonMS: 3,
+	}
+	if _, err := Run(sp, WithRegistry(reg)); err != nil {
+		t.Fatal(err)
+	}
+	s := reg.Snapshot()
+	canceled := s.Counter("des", "events_canceled")
+	hw := s.Gauge("des", "heap_high_water")
+	t.Logf("heap high-water %d, cancels %d", hw, canceled)
+	if canceled < 1000 {
+		t.Fatalf("only %d cancels: the workload no longer exercises RTO re-arming", canceled)
+	}
+	if uint64(hw)*5 > canceled {
+		t.Fatalf("heap high-water %d against %d cancels: dead timers are riding the heap", hw, canceled)
 	}
 }

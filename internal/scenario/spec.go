@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"approxsim/internal/collective"
 	"approxsim/internal/des"
@@ -238,6 +239,15 @@ func (s Spec) Validate() error {
 	if _, err := n.sizeCDF(); err != nil {
 		return err
 	}
+	for _, knob := range []struct {
+		name string
+		ms   float64
+	}{{"horizon_ms", n.HorizonMS}, {"drain_ms", n.DrainMS}, {"warm_ms", n.WarmMS}} {
+		if math.IsNaN(knob.ms) || math.IsInf(knob.ms, 0) || knob.ms > maxSpecMS {
+			return fmt.Errorf("scenario: %s %g is not representable as virtual time; use a finite value of at most %g ms",
+				knob.name, knob.ms, maxSpecMS)
+		}
+	}
 	if n.HorizonMS <= 0 {
 		return fmt.Errorf("scenario: horizon_ms %g must be positive", n.HorizonMS)
 	}
@@ -339,7 +349,14 @@ func (s Spec) BaselineKey() (string, error) {
 	return n.Key()
 }
 
+// maxSpecMS bounds every millisecond knob. Virtual time is int64 nanoseconds,
+// and the runners add drain to horizon and run the fluid engine to four
+// horizons, so each knob keeps a factor of 8 of headroom below des.MaxTime
+// (still about 36 years of virtual time).
+const maxSpecMS = float64(des.MaxTime/8) / float64(des.Millisecond)
+
 // horizon, drain, and warm convert the millisecond knobs to virtual time.
+// Validate guarantees the conversions do not overflow.
 func (s Spec) horizon() des.Time { return des.Time(s.HorizonMS * float64(des.Millisecond)) }
 func (s Spec) drain() des.Time   { return des.Time(s.DrainMS * float64(des.Millisecond)) }
 func (s Spec) warm() des.Time    { return des.Time(s.WarmMS * float64(des.Millisecond)) }

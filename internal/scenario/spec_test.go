@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -382,5 +384,53 @@ func TestFlagsSpec(t *testing.T) {
 	psp := sweep.PDESSpec(16, 4, 0.4, 1, 2)
 	if err := psp.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateRejectsUnrepresentableTimes: the millisecond knobs become
+// des.Time nanoseconds, and a non-finite value or one past the int64 range
+// used to validate and then wrap (horizon_ms 1e13 became -2^63 ns). Each must
+// be rejected with an error naming the field.
+func TestValidateRejectsUnrepresentableTimes(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name  string
+		field string
+		spec  Spec
+	}{
+		{"huge horizon", "horizon_ms", Spec{HorizonMS: 1e13}},
+		{"huge horizon pdes", "horizon_ms", Spec{Mode: "pdes", HorizonMS: 1e13}},
+		{"infinite horizon", "horizon_ms", Spec{HorizonMS: inf}},
+		{"nan horizon", "horizon_ms", Spec{HorizonMS: nan}},
+		{"huge drain", "drain_ms", Spec{DrainMS: 1e13}},
+		{"infinite drain", "drain_ms", Spec{DrainMS: inf}},
+		{"nan drain", "drain_ms", Spec{DrainMS: nan}},
+		{"nan warm", "warm_ms", Spec{Mode: "pdes", HorizonMS: 4, WarmMS: nan}},
+		{"infinite warm", "warm_ms", Spec{Mode: "pdes", HorizonMS: 4, WarmMS: inf}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.spec.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted %+v", c.spec)
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("error %q does not name %s", err, c.field)
+			}
+		})
+	}
+	// The largest accepted values still convert without wrapping, including
+	// the sums and multiples the runners form from them.
+	for _, sp := range []Spec{
+		{HorizonMS: maxSpecMS, DrainMS: maxSpecMS},
+		{Mode: "pdes", HorizonMS: maxSpecMS, WarmMS: maxSpecMS / 2},
+	} {
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("Validate rejected the limit %+v: %v", sp, err)
+		}
+		n := sp.Normalized()
+		if n.horizon() <= 0 || n.horizon()+n.drain() <= 0 || 4*n.horizon() <= 0 || n.warm() < 0 {
+			t.Fatalf("limit %+v wraps: horizon %d drain %d warm %d", sp, n.horizon(), n.drain(), n.warm())
+		}
 	}
 }
